@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -448,6 +449,47 @@ void bench_huffman(bool quick, std::vector<std::string>& failures) {
     gate_identity(failures, "huffman/decode",
                   status.is_ok() && decoded_s == symbols &&
                       decoded == symbols);
+  }
+
+  // The same codes as checkpoint slabs, one coder call per 32768-symbol
+  // slab (64 slabs at full scale): the rows above amortize the coder's
+  // per-call setup over the whole field, these show it at the size the
+  // checkpoint path runs.
+  constexpr std::size_t kSlab = 32768;
+  const std::size_t slabs = count / kSlab;
+  const std::size_t slab_bytes = slabs * kSlab * sizeof(std::uint32_t);
+  const std::span<const std::uint32_t> all{symbols};
+  std::vector<std::vector<std::uint8_t>> slab_blobs(slabs);
+  run_case("huffman/encode_slab", quick ? 5 : 7, slab_bytes, 0, [&] {
+    for (std::size_t s = 0; s < slabs; ++s) {
+      slab_blobs[s] = lcp::sz::huffman_encode(all.subspan(s * kSlab, kSlab),
+                                              quantizer.alphabet_size());
+    }
+  });
+  using SlabCodes = std::vector<std::vector<std::uint32_t>>;
+  const auto decode_slabs = [&](SlabCodes& decoded_slabs) {
+    decoded_slabs.resize(slabs);
+    for (std::size_t s = 0; s < slabs; ++s) {
+      const auto status =
+          lcp::sz::huffman_decode_into(slab_blobs[s], kSlab, decoded_slabs[s]);
+      LCP_REQUIRE(status.is_ok() && decoded_slabs[s].size() == kSlab,
+                  "huffman slab decode failed in benchmark");
+    }
+  };
+  SlabCodes decoded_slabs;
+  run_paired("huffman/decode_slab", quick ? 5 : 7, slab_bytes,
+             [&] { decode_slabs(decoded_slabs); });
+  {
+    SlabCodes decoded_slabs_s;
+    lcp::simd::ScopedSimdLevel guard{lcp::simd::SimdLevel::kScalar};
+    decode_slabs(decoded_slabs_s);
+    bool same = decoded_slabs_s == decoded_slabs;
+    for (std::size_t s = 0; s < slabs; ++s) {
+      same = same && std::equal(decoded_slabs[s].begin(),
+                                decoded_slabs[s].end(),
+                                all.begin() + s * kSlab);
+    }
+    gate_identity(failures, "huffman/decode_slab", same);
   }
 }
 

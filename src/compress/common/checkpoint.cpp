@@ -299,31 +299,31 @@ std::string RecoveryReport::summary() const {
   return buf;
 }
 
-Expected<RecoveryReport> recover_checkpoint(
-    std::span<const std::uint8_t> bytes, const RecoveryPolicy& policy) {
-  auto rec = recover_framed(bytes);
-  if (!rec) {
-    return rec.status().with_context("recover_checkpoint");
-  }
-  if ((rec->info.flags & kFrameFlagCheckpoint) == 0) {
+namespace {
+
+/// recover_checkpoint over an already-walked frame, so read_checkpoint's
+/// strict checks and the slab decode share one chunk walk.
+Expected<RecoveryReport> recover_from_frame(const FrameRecovery& rec,
+                                            const RecoveryPolicy& policy) {
+  if ((rec.info.flags & kFrameFlagCheckpoint) == 0) {
     return Status::invalid_argument(
         "frame is not a checkpoint (flag missing)");
   }
-  if (rec->info.chunk_count < 2) {
+  if (rec.info.chunk_count < 2) {
     return Status::corrupt_data("checkpoint has no manifest chunks");
   }
 
   RecoveryReport report;
-  report.header_from_replica = rec->header_from_replica;
+  report.header_from_replica = rec.header_from_replica;
 
   // Manifest: chunk 0, or its replica in the last chunk.
   Expected<Manifest> manifest =
       Status::corrupt_data("manifest chunk lost");
-  if (rec->chunks.front().state == ChunkState::kIntact) {
-    manifest = parse_manifest(rec->chunks.front().payload);
+  if (rec.chunks.front().state == ChunkState::kIntact) {
+    manifest = parse_manifest(rec.chunks.front().payload);
   }
-  if (!manifest && rec->chunks.back().state == ChunkState::kIntact) {
-    manifest = parse_manifest(rec->chunks.back().payload);
+  if (!manifest && rec.chunks.back().state == ChunkState::kIntact) {
+    manifest = parse_manifest(rec.chunks.back().payload);
     if (manifest) {
       report.manifest_from_replica = true;
     }
@@ -332,7 +332,7 @@ Expected<RecoveryReport> recover_checkpoint(
     return manifest.status().with_context(
         "both manifest copies unreadable");
   }
-  if (manifest->slab_count + 2 != rec->info.chunk_count) {
+  if (manifest->slab_count + 2 != rec.info.chunk_count) {
     return Status::corrupt_data(
         "manifest slab count inconsistent with frame chunk count");
   }
@@ -340,7 +340,7 @@ Expected<RecoveryReport> recover_checkpoint(
   const std::size_t n = manifest->dims.element_count();
   report.total_elements = n;
   std::vector<float> out(n, 0.0F);
-  decode_slabs(*rec, *manifest, out, report);
+  decode_slabs(rec, *manifest, out, report);
 
   for (const auto& v : report.slabs) {
     if (!v.recovered) {
@@ -360,6 +360,17 @@ Expected<RecoveryReport> recover_checkpoint(
   report.field =
       data::Field{manifest->field_name, manifest->dims, std::move(out)};
   return report;
+}
+
+}  // namespace
+
+Expected<RecoveryReport> recover_checkpoint(
+    std::span<const std::uint8_t> bytes, const RecoveryPolicy& policy) {
+  auto rec = recover_framed(bytes);
+  if (!rec) {
+    return rec.status().with_context("recover_checkpoint");
+  }
+  return recover_from_frame(*rec, policy);
 }
 
 Expected<data::Field> read_checkpoint(std::span<const std::uint8_t> bytes) {
@@ -389,7 +400,7 @@ Expected<data::Field> read_checkpoint(std::span<const std::uint8_t> bytes) {
 
   RecoveryPolicy strict;
   strict.fail_on_any_loss = true;
-  auto report = recover_checkpoint(bytes, strict);
+  auto report = recover_from_frame(*rec, strict);
   if (!report) {
     return report.status();
   }

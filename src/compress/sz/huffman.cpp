@@ -1,7 +1,9 @@
 #include "compress/sz/huffman.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "compress/simd/dispatch.hpp"
 #include "support/buffer_pool.hpp"
@@ -17,12 +19,19 @@ constexpr unsigned kMaxCodeLength = 32;
 /// to the canonical per-length walk.
 constexpr unsigned kDecodeTableBits = 11;
 
-struct HeapNode {
-  std::uint64_t weight;
-  std::uint32_t index;  // tie-break for determinism
-  bool operator>(const HeapNode& o) const {
-    return weight != o.weight ? weight > o.weight : index > o.index;
-  }
+/// Widest probe window of the AVX2 multi-symbol decoder.
+constexpr unsigned kMaxWideBits = 16;
+
+/// The encoder's count table is zeroed in blocks of 2^kBlockShift slots,
+/// and only the blocks some symbol lands in.
+constexpr unsigned kBlockShift = 6;
+
+/// Count-table slot whose default constructor leaves the value unset, so
+/// sizing the pooled table to the alphabet writes nothing; the encoder
+/// zeroes each block before its first count.
+struct CountSlot {
+  CountSlot() noexcept {}  // not `= default`: resize() would zero-fill
+  std::uint64_t value;
 };
 
 /// Reverses the low `len` bits of `v` (code <-> stream bit order).
@@ -35,123 +44,147 @@ std::uint64_t reverse_bits(std::uint64_t v, unsigned len) {
   return r;
 }
 
-/// Builds code lengths by standard Huffman tree construction. Depths are
-/// computed in one topological pass over the parent links: internal nodes
-/// are appended after their children, so parent indices are always larger
-/// and a single descending sweep resolves every depth.
-std::vector<std::uint8_t> build_lengths(std::span<const std::uint64_t> freq) {
-  const std::uint32_t n = static_cast<std::uint32_t>(freq.size());
-  std::vector<std::uint8_t> lengths(n, 0);
-
-  // Internal representation: parent links over (symbols + internal nodes).
-  std::vector<std::uint32_t> parent;
-  parent.reserve(2 * n);
-
-  std::priority_queue<HeapNode, std::vector<HeapNode>, std::greater<>> heap;
-  std::uint32_t live = 0;
-  std::uint32_t last_symbol = 0;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    parent.push_back(UINT32_MAX);
-    if (freq[s] > 0) {
-      heap.push({freq[s], s});
-      ++live;
-      last_symbol = s;
+/// Huffman tree depths for the live symbols whose positive weights are
+/// `weight`, listed in ascending symbol order; one length per live symbol
+/// lands in `lengths` (clamped at 255).
+///
+/// Two-queue construction: the leaves sorted by (weight, symbol) form one
+/// queue, the internal nodes in creation order the other, and each step
+/// merges the two (weight, index)-smallest fronts. Internal nodes are
+/// created in non-decreasing weight order and rank after every leaf on
+/// equal weight (a heap would give them indices above the alphabet), so
+/// this pops exactly what a (weight, index) min-heap over all symbols
+/// would, and the tree — hence every length — is the same.
+void build_lengths(std::span<const std::uint64_t> weight,
+                   std::span<std::uint8_t> lengths) {
+  const std::size_t m = weight.size();
+  if (m == 0) {
+    return;
+  }
+  if (m == 1) {
+    lengths[0] = 1;
+    return;
+  }
+  // Leaves are nodes [0, m) in sorted order; internal node k is m + k.
+  ScratchLease<std::uint32_t> order_lease;
+  auto& order = order_lease.get();
+  order.resize(m);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return weight[a] != weight[b] ? weight[a] < weight[b] : a < b;
+  });
+  const std::size_t nodes = 2 * m - 1;
+  ScratchLease<std::uint64_t> node_weight_lease;
+  auto& node_weight = node_weight_lease.get();
+  node_weight.resize(nodes);
+  for (std::size_t k = 0; k < m; ++k) {
+    node_weight[k] = weight[order[k]];
+  }
+  ScratchLease<std::uint32_t> parent_lease;
+  auto& parent = parent_lease.get();
+  parent.resize(nodes);
+  std::size_t leaf = 0;
+  std::size_t inner = m;
+  for (std::size_t next = m; next < nodes; ++next) {
+    std::size_t pick[2];
+    for (auto& p : pick) {
+      const bool take_leaf =
+          leaf < m &&
+          (inner == next || node_weight[leaf] <= node_weight[inner]);
+      p = take_leaf ? leaf++ : inner++;
     }
-  }
-  if (live == 0) {
-    return lengths;
-  }
-  if (live == 1) {
-    lengths[last_symbol] = 1;
-    return lengths;
-  }
-  while (heap.size() > 1) {
-    const HeapNode a = heap.top();
-    heap.pop();
-    const HeapNode b = heap.top();
-    heap.pop();
-    const auto node = static_cast<std::uint32_t>(parent.size());
-    parent.push_back(UINT32_MAX);
-    parent[a.index] = node;
-    parent[b.index] = node;
-    heap.push({a.weight + b.weight, node});
+    node_weight[next] = node_weight[pick[0]] + node_weight[pick[1]];
+    parent[pick[0]] = static_cast<std::uint32_t>(next);
+    parent[pick[1]] = static_cast<std::uint32_t>(next);
   }
 
-  // With 64-bit weights the deepest possible tree is Fibonacci-bounded at
-  // ~92 levels, so a 16-bit depth cannot saturate.
-  const auto total = static_cast<std::uint32_t>(parent.size());
-  std::vector<std::uint16_t> depth(total, 0);
-  for (std::uint32_t idx = total; idx-- > 0;) {
-    if (parent[idx] != UINT32_MAX) {
-      depth[idx] = static_cast<std::uint16_t>(depth[parent[idx]] + 1);
-    }
+  // Parents are created after their children, so one descending sweep
+  // from the root resolves every depth. With 64-bit weights the deepest
+  // possible tree is Fibonacci-bounded at ~92 levels.
+  ScratchLease<std::uint8_t> depth_lease;
+  auto& depth = depth_lease.get();
+  depth.resize(nodes);
+  depth[nodes - 1] = 0;
+  for (std::size_t idx = nodes - 1; idx-- > 0;) {
+    depth[idx] = static_cast<std::uint8_t>(
+        std::min<unsigned>(depth[parent[idx]] + 1u, 255u));
   }
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (freq[s] > 0) {
-      lengths[s] = static_cast<std::uint8_t>(std::min<std::uint16_t>(
-          depth[s], 255));
-    }
+  for (std::size_t k = 0; k < m; ++k) {
+    lengths[order[k]] = depth[k];
   }
-  return lengths;
 }
 
-/// Canonical codes from lengths: symbols sorted by (length, index).
-std::vector<std::uint64_t> canonical_codes(
-    std::span<const std::uint8_t> lengths) {
-  std::vector<std::uint64_t> codes(lengths.size(), 0);
-  std::vector<std::uint32_t> count(kMaxCodeLength + 1, 0);
-  for (std::uint8_t l : lengths) {
-    if (l > 0) {
-      ++count[l];
+/// Code lengths for the live symbols (positive weights, ascending symbol
+/// order) of an `alphabet`-symbol code, capped at kMaxCodeLength. Excess
+/// depth is cut by halving the weights and rebuilding; skewed adversarial
+/// inputs that survive eight halvings get fixed-length codes.
+void live_code_lengths(std::span<const std::uint64_t> weight,
+                       std::size_t alphabet, std::span<std::uint8_t> lengths) {
+  ScratchLease<std::uint64_t> work_lease;
+  auto& work = work_lease.get();
+  work.assign(weight.begin(), weight.end());
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    build_lengths(work, lengths);
+    if (std::all_of(lengths.begin(), lengths.end(),
+                    [](std::uint8_t l) { return l <= kMaxCodeLength; })) {
+      return;
+    }
+    for (auto& w : work) {
+      w = (w + 1) / 2;
     }
   }
-  std::vector<std::uint64_t> next(kMaxCodeLength + 2, 0);
-  std::uint64_t code = 0;
-  for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
-    code = (code + count[l - 1]) << 1;
-    next[l] = code;
+  unsigned bits = 1;
+  while ((std::size_t{1} << bits) < alphabet) {
+    ++bits;
   }
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s] > 0) {
-      codes[s] = next[lengths[s]]++;
+  std::fill(lengths.begin(), lengths.end(), static_cast<std::uint8_t>(bits));
+}
+
+/// Probe window of the AVX2 decoder for one blob: the width w, at most
+/// min(kMaxWideBits, longest code), that minimizes the table build (2^w
+/// slots) plus the expected long-code fallbacks, each priced at
+/// kLongCodeCost slots. A code of length l stands for about 2^-l of the
+/// stream, so codes longer than w cost `count` times their Kraft mass.
+unsigned wide_table_bits(
+    const std::uint64_t (&count_by_len)[kMaxCodeLength + 1], unsigned longest,
+    std::uint64_t count) {
+  // A long code walks up to 32 bits with a branch per bit where a table
+  // slot costs one store and one pair probe.
+  constexpr double kLongCodeCost = 16.0;
+  const unsigned top = std::clamp(longest, 1u, kMaxWideBits);
+  unsigned best = top;
+  double best_cost = std::ldexp(1.0, static_cast<int>(top));
+  double tail = 0.0;
+  for (unsigned w = top - 1; w >= 1; --w) {
+    tail += std::ldexp(static_cast<double>(count_by_len[w + 1]),
+                       -static_cast<int>(w + 1));
+    const double cost = std::ldexp(1.0, static_cast<int>(w)) +
+                        kLongCodeCost * static_cast<double>(count) * tail;
+    if (cost < best_cost) {
+      best = w;
+      best_cost = cost;
     }
   }
-  return codes;
+  return best;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> huffman_code_lengths(
     std::span<const std::uint64_t> freq) {
-  // Cap excessive depths by flattening frequencies and rebuilding. With a
-  // 2^16-ish alphabet and 64-bit weights, a single pass virtually always
-  // fits in 32 bits, but skewed adversarial inputs are handled by halving.
-  ScratchLease<std::uint64_t> work_lease{freq.size()};
-  auto& work = work_lease.get();
-  work.assign(freq.begin(), freq.end());
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    auto lengths = build_lengths(work);
-    const auto deepest =
-        *std::max_element(lengths.begin(), lengths.end());
-    if (deepest <= kMaxCodeLength) {
-      return lengths;
-    }
-    for (auto& w : work) {
-      if (w > 0) {
-        w = (w + 1) / 2;
-      }
-    }
-  }
-  // Degenerate fallback: fixed-length codes.
-  std::vector<std::uint8_t> lengths(freq.size(), 0);
-  unsigned bits = 1;
-  while ((std::size_t{1} << bits) < freq.size()) {
-    ++bits;
-  }
+  std::vector<std::uint32_t> symbols;
+  std::vector<std::uint64_t> weights;
   for (std::size_t s = 0; s < freq.size(); ++s) {
     if (freq[s] > 0) {
-      lengths[s] = static_cast<std::uint8_t>(bits);
+      symbols.push_back(static_cast<std::uint32_t>(s));
+      weights.push_back(freq[s]);
     }
+  }
+  std::vector<std::uint8_t> live_lengths(symbols.size());
+  live_code_lengths(weights, freq.size(), live_lengths);
+  std::vector<std::uint8_t> lengths(freq.size(), 0);
+  for (std::size_t k = 0; k < symbols.size(); ++k) {
+    lengths[symbols[k]] = live_lengths[k];
   }
   return lengths;
 }
@@ -159,62 +192,116 @@ std::vector<std::uint8_t> huffman_code_lengths(
 std::vector<std::uint8_t> huffman_encode(std::span<const std::uint32_t> symbols,
                                          std::uint32_t alphabet_size) {
   LCP_REQUIRE(alphabet_size > 0, "alphabet must be non-empty");
-  // The frequency table is half a MiB at SZ's 2^16 alphabet; pooled so the
-  // chunk-parallel path does not hammer the allocator once per chunk.
-  ScratchLease<std::uint64_t> freq_lease{alphabet_size};
-  auto& freq = freq_lease.get();
-  freq.assign(alphabet_size, 0);
+  // Histogram over a pooled alphabet-sized table. Only the blocks some
+  // symbol lands in are zeroed, and a scan of those blocks collects the
+  // live symbols in ascending order, so apart from one flag per block no
+  // pass here is proportional to the alphabet.
+  constexpr std::size_t kBlockSlots = std::size_t{1} << kBlockShift;
+  const std::size_t blocks = (std::size_t{alphabet_size} >> kBlockShift) + 1;
+  ScratchLease<std::uint8_t> touched_lease;
+  auto& touched = touched_lease.get();
+  touched.assign(blocks, 0);
+  ScratchLease<CountSlot> table_lease;
+  auto& table = table_lease.get();
+  table.resize(blocks * kBlockSlots);
   for (std::uint32_t s : symbols) {
     LCP_REQUIRE(s < alphabet_size, "symbol out of alphabet range");
-    ++freq[s];
+    const std::size_t block = s >> kBlockShift;
+    if (touched[block] == 0) {
+      touched[block] = 1;
+      for (std::size_t slot = 0; slot < kBlockSlots; ++slot) {
+        table[block * kBlockSlots + slot].value = 0;
+      }
+    }
+    ++table[s].value;
   }
-  const auto lengths = huffman_code_lengths(freq);
-  const auto codes = canonical_codes(lengths);
+  ScratchLease<std::uint32_t> live_lease;
+  auto& live = live_lease.get();
+  ScratchLease<std::uint64_t> weight_lease;
+  auto& weight = weight_lease.get();
+  for (std::size_t block = 0; block < blocks; ++block) {
+    if (touched[block] == 0) {
+      continue;
+    }
+    for (std::size_t slot = block * kBlockSlots;
+         slot < (block + 1) * kBlockSlots; ++slot) {
+      if (table[slot].value > 0) {
+        live.push_back(static_cast<std::uint32_t>(slot));
+        weight.push_back(table[slot].value);
+      }
+    }
+  }
+  const std::size_t m = live.size();
+  ScratchLease<std::uint8_t> lengths_lease;
+  auto& lengths = lengths_lease.get();
+  lengths.resize(m);
+  live_code_lengths(weight, alphabet_size, lengths);
 
-  ByteWriter header;
-  header.write_u32(alphabet_size);
-  header.write_u64(symbols.size());
-  // RLE of the length table: (length byte, run length u32).
-  std::uint32_t runs = 0;
+  // Canonical codes: symbols ranked by (length, symbol). Canonical codes
+  // are MSB-first and the decoder consumes them MSB-first; BitWriter emits
+  // the low bit of a value first, so each code is stored pre-reversed and
+  // packed with its length into the table slot its count came from:
+  // bits 0..31 the reversed code, 32..39 the length.
+  std::uint32_t count_by_len[kMaxCodeLength + 1] = {};
+  for (std::uint8_t l : lengths) {
+    ++count_by_len[l];
+  }
+  std::uint64_t next_code[kMaxCodeLength + 1] = {};
+  std::uint64_t code = 0;
+  for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
+    code = (code + count_by_len[l - 1]) << 1;
+    next_code[l] = code;
+  }
+  std::uint64_t payload_bits = 0;
+  for (std::size_t k = 0; k < m; ++k) {
+    const unsigned len = lengths[k];
+    table[live[k]].value =
+        reverse_bits(next_code[len]++, len) | (std::uint64_t{len} << 32);
+    payload_bits += weight[k] * len;
+  }
+
+  // Run-length length table, (length byte, run length u32) per maximal run
+  // of equal lengths over the whole alphabet: the gaps between live
+  // symbols are the zero runs.
   ByteWriter rle;
-  for (std::size_t i = 0; i < lengths.size();) {
-    std::size_t j = i;
-    while (j < lengths.size() && lengths[j] == lengths[i]) {
+  std::uint32_t runs = 0;
+  const auto emit_run = [&](std::uint8_t len, std::uint32_t n) {
+    rle.write_u8(len);
+    rle.write_u32(n);
+    ++runs;
+  };
+  std::uint32_t covered = 0;
+  for (std::size_t k = 0; k < m;) {
+    if (live[k] > covered) {
+      emit_run(0, live[k] - covered);
+    }
+    std::size_t j = k + 1;
+    while (j < m && live[j] == live[j - 1] + 1 && lengths[j] == lengths[k]) {
       ++j;
     }
-    rle.write_u8(lengths[i]);
-    rle.write_u32(static_cast<std::uint32_t>(j - i));
-    ++runs;
-    i = j;
+    emit_run(lengths[k], static_cast<std::uint32_t>(j - k));
+    covered = live[j - 1] + 1;
+    k = j;
   }
-  header.write_u32(runs);
-  auto rle_bytes = rle.finish();
-  header.write_bytes(rle_bytes);
+  if (covered < alphabet_size) {
+    emit_run(0, alphabet_size - covered);
+  }
 
-  // Canonical codes are MSB-first by construction and the decoder consumes
-  // them MSB-first; BitWriter emits the low bit of a value first, so each
-  // code is emitted pre-reversed as a single write_bits call.
-  ScratchLease<std::uint64_t> stream_codes_lease{alphabet_size};
-  auto& stream_codes = stream_codes_lease.get();
-  stream_codes.assign(alphabet_size, 0);
-  std::uint64_t payload_bits = 0;
-  for (std::uint32_t s = 0; s < alphabet_size; ++s) {
-    if (lengths[s] > 0) {
-      stream_codes[s] = reverse_bits(codes[s], lengths[s]);
-      payload_bits += freq[s] * lengths[s];
-    }
-  }
   BitWriter bits;
   bits.reserve(static_cast<std::size_t>((payload_bits + 7) / 8) + 8);
   for (std::uint32_t s : symbols) {
-    bits.write_bits(stream_codes[s], lengths[s]);
+    const std::uint64_t entry = table[s].value;
+    bits.write_bits(entry & 0xFFFFFFFFu, static_cast<unsigned>(entry >> 32));
   }
   auto payload = bits.finish();
 
+  auto rle_bytes = rle.finish();
   ByteWriter out;
-  auto header_bytes = header.finish();
-  out.reserve(header_bytes.size() + 8 + payload.size());
-  out.write_bytes(header_bytes);
+  out.reserve(16 + rle_bytes.size() + 8 + payload.size());
+  out.write_u32(alphabet_size);
+  out.write_u64(symbols.size());
+  out.write_u32(runs);
+  out.write_bytes(rle_bytes);
   out.write_u64(payload.size());
   out.write_bytes(payload);
   return out.finish();
@@ -245,12 +332,27 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
   if (*count > max_count) {
     return Status::corrupt_data("huffman: symbol count exceeds expectation");
   }
+  // Every code is at least one bit long, so a count above the blob's bit
+  // size is corruption; checking it here bounds every allocation below by
+  // the blob's size even when the caller passes no max_count.
+  if (*count / 8 > blob.size()) {
+    return Status::corrupt_data("huffman: symbol count exceeds blob size");
+  }
   auto runs = r.read_u32();
   if (!runs) {
     return runs.status();
   }
-  std::vector<std::uint8_t> lengths;
-  lengths.reserve(*alphabet);
+  // The runs expand straight into the live list (symbol, length), in
+  // ascending symbol order; zero runs only advance the symbol cursor. Every
+  // live symbol occurs in the stream at least once, so more live symbols
+  // than stream symbols is corruption, which keeps the expansion within
+  // the count checked above.
+  ScratchLease<std::uint32_t> live_lease;
+  auto& live = live_lease.get();
+  ScratchLease<std::uint8_t> live_len_lease;
+  auto& live_len = live_len_lease.get();
+  std::uint64_t count_by_len[kMaxCodeLength + 1] = {};
+  std::uint64_t covered = 0;
   for (std::uint32_t run = 0; run < *runs; ++run) {
     auto len = r.read_u8();
     auto n = r.read_u32();
@@ -260,45 +362,98 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
     if (*len > kMaxCodeLength) {
       return Status::corrupt_data("huffman: code length too large");
     }
-    if (lengths.size() + *n > *alphabet) {
+    if (covered + *n > *alphabet) {
       return Status::corrupt_data("huffman: length table overflow");
     }
-    lengths.insert(lengths.end(), *n, *len);
+    if (*len > 0) {
+      if (live.size() + *n > *count) {
+        return Status::corrupt_data(
+            "huffman: more coded symbols than stream symbols");
+      }
+      count_by_len[*len] += *n;
+      for (std::uint32_t k = 0; k < *n; ++k) {
+        live.push_back(static_cast<std::uint32_t>(covered + k));
+      }
+      live_len.insert(live_len.end(), *n, *len);
+    }
+    covered += *n;
   }
-  if (lengths.size() != *alphabet) {
+  if (covered != *alphabet) {
     return Status::corrupt_data("huffman: length table size mismatch");
+  }
+  // Kraft inequality, sum of 2^-len <= 1, in units of 2^-32. An
+  // over-subscribed table is no prefix code: its lookup tables would cost
+  // up to live * 2^16 fills and each decode level would read a different
+  // garbage stream from it.
+  std::uint64_t kraft = 0;
+  unsigned longest = 0;
+  for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
+    if (count_by_len[l] == 0) {
+      continue;
+    }
+    longest = l;
+    kraft += count_by_len[l] << (kMaxCodeLength - l);
+    if (kraft > (std::uint64_t{1} << kMaxCodeLength)) {
+      return Status::corrupt_data("huffman: over-subscribed code lengths");
+    }
   }
 
   // Canonical decode tables: for each length, the first code and the index
   // into the symbol list ordered by (length, symbol).
-  std::vector<std::uint32_t> count_by_len(kMaxCodeLength + 1, 0);
-  for (std::uint8_t l : lengths) {
-    if (l > 0) {
-      ++count_by_len[l];
-    }
-  }
-  std::vector<std::uint64_t> first_code(kMaxCodeLength + 2, 0);
-  std::vector<std::uint32_t> first_index(kMaxCodeLength + 2, 0);
+  std::uint64_t first_code[kMaxCodeLength + 2] = {};
+  std::uint32_t first_index[kMaxCodeLength + 2] = {};
   std::uint64_t code = 0;
   std::uint32_t index = 0;
   for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
     code = (code + count_by_len[l - 1]) << 1;
     first_code[l] = code;
     first_index[l] = index;
-    index += count_by_len[l];
+    index += static_cast<std::uint32_t>(count_by_len[l]);
   }
-  // Counting sort of the symbols by (length, symbol) in one pass.
-  std::vector<std::uint32_t> symbols_by_rank(index, 0);
+
+  // Lookup table over the next `table_bits` stream bits, indexed by the
+  // reversed code with every fill of the remaining high bits (the stream
+  // carries codes MSB-first, BitReader returns the first stream bit in the
+  // LSB). The AVX2 decoder packs up to two symbols per slot (layout below)
+  // in a window sized per blob; the scalar decoder stores one symbol in
+  // bits 0..31 and its length in bits 32..39. Fill work is bounded by the
+  // table size through the Kraft inequality.
+  const bool wide = simd::simd_level() >= simd::SimdLevel::kAvx2 &&
+                    *alphabet <= (std::uint32_t{1} << 17);
+  const unsigned table_bits =
+      wide ? wide_table_bits(count_by_len, longest, *count) : kDecodeTableBits;
+  ScratchLease<std::uint64_t> table_lease;
+  auto& table = table_lease.get();
+  table.assign(std::size_t{1} << table_bits, 0);
+
+  // One pass over the live list ranks each symbol by (length, symbol) —
+  // a counting sort — which is also its canonical code.
+  ScratchLease<std::uint32_t> by_rank_lease;
+  auto& symbols_by_rank = by_rank_lease.get();
+  symbols_by_rank.resize(live.size());
   {
-    std::vector<std::uint32_t> cursor(first_index.begin(), first_index.end());
-    for (std::uint32_t s = 0; s < *alphabet; ++s) {
-      if (lengths[s] > 0) {
-        symbols_by_rank[cursor[lengths[s]]++] = s;
+    std::uint32_t cursor[kMaxCodeLength + 2] = {};
+    std::copy(std::begin(first_index), std::end(first_index), cursor);
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      const std::uint32_t s = live[k];
+      const unsigned len = live_len[k];
+      const std::uint32_t rank = cursor[len]++;
+      symbols_by_rank[rank] = s;
+      if (len > table_bits) {
+        continue;
+      }
+      const std::uint64_t base =
+          reverse_bits(first_code[len] + (rank - first_index[len]), len);
+      const std::uint64_t entry =
+          wide ? s | (std::uint64_t{len} << 34) | (std::uint64_t{len} << 40) |
+                     (std::uint64_t{1} << 62)
+               : s | (std::uint64_t{len} << 32);
+      const std::size_t fills = std::size_t{1} << (table_bits - len);
+      for (std::size_t fill = 0; fill < fills; ++fill) {
+        table[base | (fill << len)] = entry;
       }
     }
   }
-
-  const auto codes = canonical_codes(lengths);
 
   auto payload_size = r.read_u64();
   if (!payload_size) {
@@ -334,13 +489,15 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
     return symbol != UINT32_MAX && !bits.overflowed();
   };
 
-  if (simd::simd_level() >= simd::SimdLevel::kAvx2 &&
-      *alphabet <= (std::uint32_t{1} << 17)) {
+  if (wide) {
     // Multi-symbol decode over a wider probe window. SZ's quantizer codes
     // average ~8 bits on smooth fields, so the 11-bit classic table sends
     // nearly one symbol in ten to the bit-serial slow path and almost
     // never fits two codes in one probe. A 16-bit window resolves ~99% of
-    // symbols in one lookup and pairs two codes about half the time.
+    // symbols in one lookup and pairs two codes about half the time. The
+    // table is rebuilt per blob, though, and a 32768-symbol checkpoint
+    // slab cannot pay for 2^16 slots: wide_table_bits narrows the window
+    // until the long codes it gives up would cost more than the slots.
     //
     // Each slot packs into one 64-bit word (the loop is latency-bound on
     // the serial peek -> table load -> skip chain, so the table must stay
@@ -352,54 +509,34 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
     //   bits 40..45  bits consumed when emitting both
     //   bits 62..63  symbols resolvable at this slot (0-2)
     //
-    // The wide table is built once per decode (pooled across calls, so
-    // steady-state decompression re-faults no pages): one pass writes the
-    // single-symbol entries — total fill work is bounded by 2^16 slots via
-    // the Kraft inequality, regardless of alphabet size — and a second
-    // pass upgrades slots to pairs in place. The in-place upgrade is sound
-    // because pair entries preserve their own first-symbol and
+    // The table is pooled across calls, so steady-state decompression
+    // re-faults no pages. The fill above wrote the single-symbol entries;
+    // this pass upgrades slots to pairs in place. The in-place upgrade is
+    // sound because pair entries preserve their own first-symbol and
     // first-length fields, which is all the chaining read needs. Chaining
     // two single-symbol lookups per slot is sound because for
     // len0 + len1 <= window width the second lookup's index bits are all
     // genuine stream bits; the same zero-padding past the end of the
     // payload feeds both this loop and the classic one, so the
     // success/corrupt verdicts are identical.
-    constexpr unsigned kWideBits = 16;
-    constexpr std::size_t kWideSlots = std::size_t{1} << kWideBits;
-    ScratchLease<std::uint64_t> mtable_lease;
-    auto& mtable = mtable_lease.get();
-    mtable.assign(kWideSlots, 0);
-    for (std::uint32_t s = 0; s < *alphabet; ++s) {
-      const unsigned len = lengths[s];
-      if (len == 0 || len > kWideBits) {
-        continue;
-      }
-      const std::uint64_t base = reverse_bits(codes[s], len);
-      const std::size_t fills = std::size_t{1} << (kWideBits - len);
-      const std::uint64_t m = s | (std::uint64_t{len} << 34) |
-                              (std::uint64_t{len} << 40) |
-                              (std::uint64_t{1} << 62);
-      for (std::size_t fill = 0; fill < fills; ++fill) {
-        mtable[base | (fill << len)] = m;
-      }
-    }
-    for (std::size_t idx = 0; idx < kWideSlots; ++idx) {
-      const std::uint64_t m1 = mtable[idx];
+    const std::uint64_t mask = (std::uint64_t{1} << table_bits) - 1;
+    for (std::size_t idx = 0; idx < table.size(); ++idx) {
+      const std::uint64_t m1 = table[idx];
       if (m1 == 0) {
         continue;
       }
       const unsigned len0 = static_cast<unsigned>((m1 >> 34) & 63);
-      const std::uint64_t m2 = mtable[idx >> len0];
+      const std::uint64_t m2 = table[idx >> len0];
       const unsigned len1 = static_cast<unsigned>((m2 >> 34) & 63);
-      if (m2 != 0 && len0 + len1 <= kWideBits) {
-        mtable[idx] = (m1 & 0x1FFFF) | ((m2 & 0x1FFFF) << 17) |
-                      (std::uint64_t{len0} << 34) |
-                      (std::uint64_t{len0 + len1} << 40) |
-                      (std::uint64_t{2} << 62);
+      if (m2 != 0 && len0 + len1 <= table_bits) {
+        table[idx] = (m1 & 0x1FFFF) | ((m2 & 0x1FFFF) << 17) |
+                     (std::uint64_t{len0} << 34) |
+                     (std::uint64_t{len0 + len1} << 40) |
+                     (std::uint64_t{2} << 62);
       }
     }
 
-    // Long codes (beyond the wide window) resolve with the same canonical
+    // Long codes (beyond the window) resolve with the same canonical
     // per-length walk as decode_slow, but over one peeked register instead
     // of a read_bit call per bit. The overflow verdict is unchanged: a
     // match whose final bit lies past the end trips skip_bits exactly
@@ -431,7 +568,7 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
     // The hot loop is a serial dependency chain (probe -> table load ->
     // cursor advance -> next probe), so the body holds the pending stream
     // bits in a register and refills it from memory only every few symbols
-    // (a refill banks >= 57 bits; one probe spends at most kWideBits).
+    // (a refill banks >= 57 bits; one probe spends at most kMaxWideBits).
     // Everything else is branchless apart from the rare long-code
     // fallback: both symbol slots store unconditionally, and running the
     // loop only while two output slots remain (i + 1 < total) makes the
@@ -454,7 +591,7 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
     std::uint64_t pos = 0;  // bits consumed, tracked ahead of `bits`
 
     while (i + 1 < total) {
-      if (navail < kWideBits) {
+      if (navail < kMaxWideBits) {
         const auto byte = static_cast<std::size_t>(pos >> 3);
         if (byte + sizeof(std::uint64_t) > size) {
           break;  // within 8 bytes of the end: finish on the checked path
@@ -464,7 +601,7 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
         buf = word >> (pos & 7);
         navail = 64 - static_cast<unsigned>(pos & 7);
       }
-      const std::uint64_t e = mtable[buf & ((1u << kWideBits) - 1)];
+      const std::uint64_t e = table[buf & mask];
       if (e == 0) {
         bits.skip_bits(pos - bits.bit_position());
         std::uint32_t symbol = UINT32_MAX;
@@ -494,7 +631,7 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
     // same corrupt verdict.
     bits.skip_bits(pos - bits.bit_position());
     while (i < total) {
-      const std::uint64_t e = mtable[bits.peek_fixed<kWideBits>()];
+      const std::uint64_t e = table[bits.peek_fixed<kMaxWideBits>() & mask];
       const auto resolved = static_cast<unsigned>(e >> 62);
       if (resolved == 0) {
         std::uint32_t symbol = UINT32_MAX;
@@ -520,35 +657,15 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
     return Status::ok();
   }
 
-  // Primary lookup table over the next kDecodeTableBits stream bits. The
-  // stream carries codes MSB-first but BitReader::peek_bits returns the
-  // first stream bit in the LSB, so entries are indexed by the reversed
-  // code with every possible fill of the remaining high bits.
-  struct TableEntry {
-    std::uint32_t symbol = 0;
-    std::uint8_t length = 0;  // 0 = not resolvable at table width
-  };
-  std::vector<TableEntry> table(std::size_t{1} << kDecodeTableBits);
-  for (std::uint32_t s = 0; s < *alphabet; ++s) {
-    const unsigned len = lengths[s];
-    if (len == 0 || len > kDecodeTableBits) {
-      continue;
-    }
-    const std::uint64_t base = reverse_bits(codes[s], len);
-    const std::size_t fills = std::size_t{1} << (kDecodeTableBits - len);
-    for (std::size_t fill = 0; fill < fills; ++fill) {
-      table[base | (fill << len)] = {s, static_cast<std::uint8_t>(len)};
-    }
-  }
-
   for (std::uint64_t i = 0; i < *count; ++i) {
-    const TableEntry entry = table[bits.peek_bits(kDecodeTableBits)];
-    if (entry.length != 0) {
-      bits.skip_bits(entry.length);
+    const std::uint64_t entry = table[bits.peek_bits(kDecodeTableBits)];
+    const auto length = static_cast<unsigned>(entry >> 32);
+    if (length != 0) {
+      bits.skip_bits(length);
       if (bits.overflowed()) {
         return Status::corrupt_data("huffman: invalid code in stream");
       }
-      out.push_back(entry.symbol);
+      out.push_back(static_cast<std::uint32_t>(entry));
       continue;
     }
     std::uint32_t symbol = UINT32_MAX;

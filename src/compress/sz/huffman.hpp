@@ -1,11 +1,17 @@
 #pragma once
 // Canonical Huffman coder for SZ quantization codes.
 //
-// Encoding: build per-symbol lengths from frequencies (package-merge-free
-// heap construction with a 32-bit length cap enforced by frequency
-// flattening), derive canonical codes, serialize the length table with RLE,
-// then emit the symbol stream. Decoding rebuilds the canonical table and
-// walks the bit stream length-by-length.
+// Encoding: build per-symbol lengths from frequencies (two-queue Huffman
+// construction over the live symbols — leaves sorted by (weight, symbol),
+// internal nodes in creation order — with a 32-bit length cap enforced by
+// frequency flattening), derive canonical codes, serialize the length table
+// with RLE, then emit the symbol stream. Decoding rejects length tables
+// that break the Kraft inequality, rebuilds the canonical tables, and
+// decodes through a lookup table with a length-by-length fallback.
+//
+// Every per-call step costs O(symbols + live symbols), not O(alphabet):
+// SZ calls the coder once per checkpoint slab with a 2^16-symbol alphabet
+// of which a slab uses a few thousand codes.
 
 #include <cstdint>
 #include <span>

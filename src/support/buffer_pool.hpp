@@ -43,7 +43,11 @@ void poison_buffer(std::vector<T>& buf) noexcept {
                 "pooled buffers must hold trivially copyable elements");
   const std::size_t bytes = buf.size() * sizeof(T);
   if (bytes > 0) {
-    std::memset(buf.data(), kPoisonByte, std::min(bytes, kPoisonBytes));
+    // Through void*: T may have a user-provided default constructor (a
+    // slot type that skips zeroing), and trivially copyable is what makes
+    // the byte write well-defined.
+    std::memset(static_cast<void*>(buf.data()), kPoisonByte,
+                std::min(bytes, kPoisonBytes));
   }
 }
 
